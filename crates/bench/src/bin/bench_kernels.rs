@@ -1,6 +1,10 @@
 //! Kernel speedup runner: times the naive seed kernels against the blocked,
-//! threaded replacements on Fig. 4-scale GEMM and conv-forward shapes, and
-//! writes `results/bench_kernels.json` (hand-rolled JSON, no serde).
+//! threaded replacements on Fig. 4-scale GEMM and conv-forward shapes and
+//! against the direct small-map conv on the zoo's batch-1 serving shapes,
+//! and writes `results/bench_kernels.json` (hand-rolled JSON, no serde).
+//! Conv rows also record `im2col_ms`, the same forward through im2col + the
+//! blocked GEMM, so each row shows both sides of the direct kernel's
+//! crossover.
 //!
 //! Environment:
 //! * `EINET_BENCH_BUDGET_MS` — per-case measurement budget (default 300).
@@ -45,8 +49,13 @@ fn naive_conv_forward(
     w: usize,
     out_c: usize,
     k: usize,
+    stride: usize,
+    pad: usize,
 ) -> Vec<f32> {
-    let (oh, ow) = (h - k + 1 + 2, w - k + 1 + 2); // pad = 1, stride = 1
+    let (oh, ow) = (
+        (h + 2 * pad - k) / stride + 1,
+        (w + 2 * pad - k) / stride + 1,
+    );
     let kk = in_c * k * k;
     let per_in = in_c * h * w;
     let mut out = vec![0.0_f32; n * out_c * oh * ow];
@@ -59,13 +68,13 @@ fn naive_conv_forward(
                     let row = (ci * k + ki) * k + kj;
                     let base = row * oh * ow;
                     for oi in 0..oh {
-                        let ih = (oi + ki) as isize - 1;
+                        let ih = (oi * stride + ki) as isize - pad as isize;
                         if ih < 0 || ih >= h as isize {
                             continue;
                         }
                         let in_base = (ci * h + ih as usize) * w;
                         for oj in 0..ow {
-                            let iw = (oj + kj) as isize - 1;
+                            let iw = (oj * stride + kj) as isize - pad as isize;
                             if iw < 0 || iw >= w as isize {
                                 continue;
                             }
@@ -124,6 +133,10 @@ struct Case {
     shape: String,
     naive_ms: f64,
     optimized_ms: f64,
+    /// Conv rows only: the same forward through im2col + the blocked GEMM
+    /// (the train-mode path), beside the eval-mode kernel in
+    /// `optimized_ms`.
+    im2col_ms: Option<f64>,
 }
 
 impl Case {
@@ -164,16 +177,33 @@ fn main() {
             shape: format!("{m}x{k}x{n}"),
             naive_ms,
             optimized_ms,
+            im2col_ms: None,
         });
     }
 
-    // Conv forward, Fig. 4 block scale: batch of samples through one conv.
-    for (name, batch, in_c, out_c, hw) in [
-        ("conv_forward_16x16", 8_usize, 32_usize, 64_usize, 16_usize),
-        ("conv_forward_32x32", 4, 16, 32, 32),
+    // Conv forward: batches at Fig. 4 block scale (output maps above the
+    // direct kernel's crossover, so both paths are im2col + blocked GEMM),
+    // then batch-1 serving shapes of msdnet21 and flex-vgg16, which take
+    // the direct kernel in eval mode.
+    for (name, batch, in_c, out_c, hw, k, stride, pad) in [
+        (
+            "conv_forward_16x16",
+            8_usize,
+            32_usize,
+            64_usize,
+            16_usize,
+            3,
+            1,
+            1,
+        ),
+        ("conv_forward_32x32", 4, 16, 32, 32, 3, 1, 1),
+        ("conv_msdnet21_dense_8x8", 1, 46, 3, 8, 3, 1, 1),
+        ("conv_msdnet21_branch_4x4", 1, 68, 8, 4, 3, 2, 1),
+        ("conv_msdnet21_transition_8x8", 1, 64, 32, 8, 1, 1, 0),
+        ("conv_flexvgg16_8x8", 1, 16, 16, 8, 3, 1, 1),
     ] {
         let mut rng = SmallRng::seed_from_u64(9);
-        let mut conv = Conv2d::new(in_c, out_c, 3, 1, 1, &mut rng);
+        let mut conv = Conv2d::new(in_c, out_c, k, stride, pad, &mut rng);
         let x = Tensor::new(
             &[batch, in_c, hw, hw],
             random_data(batch * in_c * hw * hw, 10),
@@ -187,7 +217,7 @@ fn main() {
                 bias = p.value.as_slice().to_vec();
             }
         });
-        eprintln!("timing {name} (n={batch} {in_c}->{out_c} @{hw}x{hw}) ...");
+        eprintln!("timing {name} (n={batch} {in_c}->{out_c} @{hw}x{hw} k{k} s{stride}) ...");
         let naive_ms = time_median(|| {
             std::hint::black_box(naive_conv_forward(
                 x.as_slice(),
@@ -198,17 +228,28 @@ fn main() {
                 hw,
                 hw,
                 out_c,
-                3,
+                k,
+                stride,
+                pad,
             ));
         });
         let optimized_ms = time_median(|| {
             std::hint::black_box(conv.forward(&x, Mode::Eval));
         });
+        let im2col_ms = time_median(|| {
+            std::hint::black_box(conv.forward(&x, Mode::Train));
+        });
+        let suffix = if stride == 1 {
+            String::new()
+        } else {
+            format!("_s{stride}")
+        };
         cases.push(Case {
             name: name.to_string(),
-            shape: format!("n{batch}_c{in_c}to{out_c}_{hw}x{hw}_k3"),
+            shape: format!("n{batch}_c{in_c}to{out_c}_{hw}x{hw}_k{k}{suffix}"),
             naive_ms,
             optimized_ms,
+            im2col_ms: Some(im2col_ms),
         });
     }
 
@@ -220,12 +261,16 @@ fn main() {
         budget().as_millis()
     ));
     for (i, c) in cases.iter().enumerate() {
+        let im2col = c
+            .im2col_ms
+            .map_or(String::new(), |t| format!(", \"im2col_ms\": {t:.6}"));
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shape\": \"{}\", \"naive_ms\": {:.6}, \"optimized_ms\": {:.6}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"name\": \"{}\", \"shape\": \"{}\", \"naive_ms\": {:.6}, \"optimized_ms\": {:.6}{}, \"speedup\": {:.3}}}{}\n",
             json_escape(&c.name),
             json_escape(&c.shape),
             c.naive_ms,
             c.optimized_ms,
+            im2col,
             c.speedup(),
             if i + 1 == cases.len() { "" } else { "," }
         ));
@@ -236,16 +281,18 @@ fn main() {
     std::fs::write("results/bench_kernels.json", &json).expect("write results/bench_kernels.json");
 
     println!(
-        "{:<24} {:>12} {:>14} {:>9}",
-        "case", "naive ms", "optimized ms", "speedup"
+        "{:<30} {:>12} {:>14} {:>9} {:>11}",
+        "case", "naive ms", "optimized ms", "speedup", "im2col ms"
     );
     for c in &cases {
+        let im2col = c.im2col_ms.map_or(String::new(), |t| format!("{t:.4}"));
         println!(
-            "{:<24} {:>12.4} {:>14.4} {:>8.2}x",
+            "{:<30} {:>12.4} {:>14.4} {:>8.2}x {:>11}",
             c.name,
             c.naive_ms,
             c.optimized_ms,
-            c.speedup()
+            c.speedup(),
+            im2col
         );
     }
     println!(

@@ -19,7 +19,8 @@ pub struct DenseConv {
     relu: ReLu,
     in_c: usize,
     growth: usize,
-    cached_shape: Vec<usize>,
+    /// Input shape of the last train-mode forward, for `backward`.
+    cached_shape: Option<[usize; 4]>,
 }
 
 impl DenseConv {
@@ -36,7 +37,7 @@ impl DenseConv {
             relu: ReLu::new(),
             in_c,
             growth,
-            cached_shape: Vec::new(),
+            cached_shape: None,
         }
     }
 
@@ -57,7 +58,7 @@ impl Layer for DenseConv {
         assert_eq!(shape.len(), 4, "dense conv expects [n,c,h,w]");
         assert_eq!(shape[1], self.in_c, "dense conv channel mismatch");
         let (n, h, w) = (shape[0], shape[2], shape[3]);
-        self.cached_shape = shape.to_vec();
+        self.cached_shape = (mode == Mode::Train).then_some([n, self.in_c, h, w]);
         let new = self.conv.forward(input, mode);
         let new = self.bn.forward(&new, mode);
         let new = self.relu.forward(&new, mode);
@@ -78,12 +79,10 @@ impl Layer for DenseConv {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(
-            !self.cached_shape.is_empty(),
-            "dense conv backward without forward"
-        );
-        let shape = self.cached_shape.clone();
-        let (n, h, w) = (shape[0], shape[2], shape[3]);
+        let [n, _, h, w] = self
+            .cached_shape
+            .take()
+            .expect("dense conv backward without forward in train mode");
         let hw = h * w;
         let out_c = self.in_c + self.growth;
         let g = grad_output.as_slice();
@@ -105,7 +104,6 @@ impl Layer for DenseConv {
         let g_conv = self.conv.backward(&g_new);
         let mut g_in = Tensor::new(&[n, self.in_c, h, w], g_pass).expect("split shape consistent");
         g_in.add_scaled(&g_conv, 1.0);
-        self.cached_shape.clear();
         g_in
     }
 

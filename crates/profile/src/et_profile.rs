@@ -28,9 +28,22 @@ use crate::platform::EdgePlatform;
 pub struct EtProfile {
     conv_ms: Vec<f64>,
     branch_ms: Vec<f64>,
+    /// [`EtProfile::total_ms`], summed once: the planner reads it on every
+    /// plan evaluation.
+    total_ms: f64,
 }
 
 impl EtProfile {
+    /// Builds a profile, summing its horizon once.
+    fn from_parts(conv_ms: Vec<f64>, branch_ms: Vec<f64>) -> Self {
+        let total_ms = conv_ms.iter().sum::<f64>() + branch_ms.iter().sum::<f64>();
+        EtProfile {
+            conv_ms,
+            branch_ms,
+            total_ms,
+        }
+    }
+
     /// Wraps per-block conv and branch times.
     ///
     /// # Errors
@@ -52,7 +65,7 @@ impl EtProfile {
                 "profiled times must be positive and finite".into(),
             ));
         }
-        Ok(EtProfile { conv_ms, branch_ms })
+        Ok(EtProfile::from_parts(conv_ms, branch_ms))
     }
 
     /// Number of exits covered by the profile.
@@ -75,7 +88,7 @@ impl EtProfile {
     /// the upper bound of the unpredictable-exit time draw in the
     /// evaluation.
     pub fn total_ms(&self) -> f64 {
-        self.conv_ms.iter().sum::<f64>() + self.branch_ms.iter().sum::<f64>()
+        self.total_ms
     }
 
     /// Time to reach (and fully execute, branch included if `execute[i]`)
@@ -109,7 +122,7 @@ impl EtProfile {
             conv_ms.push(platform.ms_for_flops(conv_flops) + platform.overhead_ms());
             branch_ms.push(platform.ms_for_flops(branch_flops) + platform.overhead_ms());
         }
-        EtProfile { conv_ms, branch_ms }
+        EtProfile::from_parts(conv_ms, branch_ms)
     }
 
     /// Measures wall-clock per-block times on this host by running `reps`
@@ -139,7 +152,7 @@ impl EtProfile {
         for t in conv_ms.iter_mut().chain(branch_ms.iter_mut()) {
             *t = (*t * inv).max(1e-6);
         }
-        EtProfile { conv_ms, branch_ms }
+        EtProfile::from_parts(conv_ms, branch_ms)
     }
 }
 

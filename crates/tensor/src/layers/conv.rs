@@ -1,4 +1,5 @@
-//! 2-D convolution via im2col + GEMM.
+//! 2-D convolution: im2col + GEMM, and a direct kernel for small maps in
+//! evaluation mode.
 
 use rand::rngs::SmallRng;
 
@@ -10,12 +11,16 @@ use crate::tensor::Tensor;
 
 /// A 2-D convolution layer over `[n, c, h, w]` tensors.
 ///
-/// The forward pass lowers each sample to a column matrix (im2col) and runs a
-/// single GEMM per sample — the standard CPU strategy. Samples are
-/// distributed over the worker pool (`parallel.rs`) when the batch is large
-/// enough, and the per-sample column buffers are retained across calls (for
-/// the backward pass *and* as reusable scratch: repeated same-shape forwards
-/// — the elastic executor's steady state — allocate nothing).
+/// Each sample of the forward pass is one job on the worker pool
+/// (`parallel.rs`, threaded when the batch is large enough). A
+/// `Mode::Train` forward, and any forward with an output map above
+/// `DIRECT_MAX_POSITIONS`, lowers the sample to a column matrix (im2col)
+/// and runs one blocked GEMM; the columns are kept for `backward`. A
+/// `Mode::Eval` forward on a smaller map runs a direct kernel over the
+/// padded sample instead, with no columns and no packing, and gives
+/// bit-identical results (DESIGN.md §6). Per-sample scratch is retained
+/// across calls, so repeated same-shape forwards — the elastic executor's
+/// steady state — reuse their buffers.
 ///
 /// # Example
 ///
@@ -38,8 +43,17 @@ pub struct Conv2d {
     k: usize,
     stride: usize,
     pad: usize,
-    cached_cols: Vec<Vec<f32>>,
-    cached_in_shape: Vec<usize>,
+    /// Per-sample scratch: im2col columns, or the direct kernel's padded
+    /// phase planes. Kept across calls so same-shape forwards allocate
+    /// nothing.
+    scratch: Vec<Vec<f32>>,
+    /// Input shape of the last `Mode::Train` forward, whose columns
+    /// `backward` reads; `None` when no backward may follow.
+    cached_in_shape: Option<[usize; 4]>,
+    /// Tap offsets of the direct kernel and the `(h, w)` they were built
+    /// for.
+    taps: Vec<usize>,
+    taps_hw: Option<(usize, usize)>,
 }
 
 impl Conv2d {
@@ -69,8 +83,10 @@ impl Conv2d {
             k,
             stride,
             pad,
-            cached_cols: Vec::new(),
-            cached_in_shape: Vec::new(),
+            scratch: Vec::new(),
+            cached_in_shape: None,
+            taps: Vec::new(),
+            taps_hw: None,
         }
     }
 
@@ -197,8 +213,228 @@ pub(crate) fn col2im(
     }
 }
 
+/// Largest output map (`oh·ow` positions per channel) whose `Mode::Eval`
+/// forward takes the direct kernel: 8×8, which covers every conv the zoo
+/// runs on 16×16 inputs after its first stage. Larger maps keep im2col +
+/// the blocked GEMM (measurements on both sides in DESIGN.md §6).
+const DIRECT_MAX_POSITIONS: usize = 64;
+
+/// Most output channels per register tile of the direct kernel.
+const DIRECT_OC_TILE: usize = 4;
+
+/// Position counts a direct-kernel tile may take, widest first.
+const DIRECT_Q_TILES: [usize; 5] = [40, 32, 24, 16, 8];
+
+/// Layout of one padded sample for the direct kernel.
+///
+/// The zero-padded `[c, h+2p, w+2p]` sample is split into `stride²` phase
+/// planes of `hs × ws`: plane `(ci, a, b)` holds padded pixels
+/// `(r·stride + a, col·stride + b)`. Output position `(oi, oj)` is
+/// flattened to `q = oi·ws + oj`, and tap `(ci, ki, kj)` of every position
+/// reads `planes[taps[p] + q]` — one unit-stride run per tap for any
+/// stride. Positions with `oj ≥ ow` are computed and dropped.
+#[derive(Debug, Clone, Copy)]
+struct DirectGeom {
+    hs: usize,
+    ws: usize,
+    /// Flattened positions spanned: `(oh-1)·ws + ow`.
+    span: usize,
+    /// Phase-plane floats plus slack for the last tile's overhang.
+    buf_len: usize,
+}
+
+impl DirectGeom {
+    fn new(c: usize, h: usize, w: usize, k: usize, stride: usize, pad: usize) -> Self {
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        let (hs, ws) = (hp.div_ceil(stride), wp.div_ceil(stride));
+        let (oh, ow) = ((hp - k) / stride + 1, (wp - k) / stride + 1);
+        let span = (oh - 1) * ws + ow;
+        let buf_len = c * stride * stride * hs * ws + span.next_multiple_of(DIRECT_Q_TILES[0]);
+        DirectGeom {
+            hs,
+            ws,
+            span,
+            buf_len,
+        }
+    }
+
+    /// Positions per tile: the widest of [`DIRECT_Q_TILES`] that computes
+    /// no more positions than a narrower one would.
+    fn q_tile(&self) -> usize {
+        DIRECT_Q_TILES
+            .into_iter()
+            .min_by_key(|&q| self.span.div_ceil(q) * q)
+            .expect("non-empty tile list")
+    }
+}
+
+/// Fills `taps` with the phase-plane offset of every im2col row
+/// `p = (ci·k + ki)·k + kj`, in that order.
+fn direct_taps(c: usize, k: usize, stride: usize, g: &DirectGeom, taps: &mut Vec<usize>) {
+    let plane = g.hs * g.ws;
+    taps.clear();
+    for ci in 0..c {
+        for ki in 0..k {
+            for kj in 0..k {
+                let phase = (ci * stride + ki % stride) * stride + kj % stride;
+                taps.push(phase * plane + (ki / stride) * g.ws + kj / stride);
+            }
+        }
+    }
+}
+
+/// Writes one `[c, h, w]` sample into `buf` as zero-padded phase planes
+/// (see [`DirectGeom`]).
+#[allow(clippy::too_many_arguments)]
+fn pad_phases(
+    x: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    stride: usize,
+    pad: usize,
+    g: &DirectGeom,
+    buf: &mut Vec<f32>,
+) {
+    let plane = g.hs * g.ws;
+    buf.clear();
+    buf.resize(g.buf_len, 0.0);
+    for (ci, channel) in x.chunks_exact(h * w).take(c).enumerate() {
+        // Row phase `a` and phase-plane row `rr` of padded row `ih + pad`.
+        let (mut a, mut rr) = (pad % stride, pad / stride);
+        for row in channel.chunks_exact(w) {
+            let start = (ci * stride + a) * stride * plane + rr * g.ws;
+            if stride == 1 {
+                buf[start + pad..start + pad + w].copy_from_slice(row);
+            } else {
+                // Column phase `b` and phase-plane column `cc` of padded
+                // column `iw + pad`.
+                let (mut b, mut cc) = (pad % stride, pad / stride);
+                for &v in row {
+                    buf[start + b * plane + cc] = v;
+                    b += 1;
+                    if b == stride {
+                        b = 0;
+                        cc += 1;
+                    }
+                }
+            }
+            a += 1;
+            if a == stride {
+                a = 0;
+                rr += 1;
+            }
+        }
+    }
+}
+
+/// Direct convolution of one padded sample into `dst` (`[out_c, oh, ow]`).
+///
+/// Each output element is the same accumulation chain as im2col + GEMM:
+/// `0.0`, then `+= w·x` over taps in ascending `p`, padded taps multiplied
+/// as `0.0`, then `+ bias`.
+#[allow(clippy::too_many_arguments)]
+fn direct_conv(
+    buf: &[f32],
+    taps: &[usize],
+    g: &DirectGeom,
+    wt: &[f32],
+    bias: &[f32],
+    oh: usize,
+    ow: usize,
+    dst: &mut [f32],
+) {
+    let kk = taps.len();
+    let plane = oh * ow;
+    let mut oc0 = 0;
+    while oc0 < bias.len() {
+        let r = (bias.len() - oc0).min(DIRECT_OC_TILE);
+        let (wt, bias) = (&wt[oc0 * kk..(oc0 + r) * kk], &bias[oc0..oc0 + r]);
+        let dst = &mut dst[oc0 * plane..(oc0 + r) * plane];
+        macro_rules! tiles {
+            ($r:literal) => {
+                match g.q_tile() {
+                    40 => direct_tiles::<$r, 40>(buf, taps, g, wt, bias, oh, ow, dst),
+                    32 => direct_tiles::<$r, 32>(buf, taps, g, wt, bias, oh, ow, dst),
+                    24 => direct_tiles::<$r, 24>(buf, taps, g, wt, bias, oh, ow, dst),
+                    16 => direct_tiles::<$r, 16>(buf, taps, g, wt, bias, oh, ow, dst),
+                    _ => direct_tiles::<$r, 8>(buf, taps, g, wt, bias, oh, ow, dst),
+                }
+            };
+        }
+        match r {
+            4 => tiles!(4),
+            3 => tiles!(3),
+            2 => tiles!(2),
+            _ => tiles!(1),
+        }
+        oc0 += r;
+    }
+}
+
+/// All position tiles of one block of `R` output channels.
+#[allow(clippy::too_many_arguments)]
+fn direct_tiles<const R: usize, const Q: usize>(
+    buf: &[f32],
+    taps: &[usize],
+    g: &DirectGeom,
+    wt: &[f32],
+    bias: &[f32],
+    oh: usize,
+    ow: usize,
+    dst: &mut [f32],
+) {
+    let kk = taps.len();
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &wt[r * kk..(r + 1) * kk]);
+    for q0 in (0..g.span).step_by(Q) {
+        let acc = direct_tile::<R, Q>(buf, taps, &rows, q0);
+        let q_end = (q0 + Q).min(g.span);
+        for oi in q0 / g.ws..=(q_end - 1) / g.ws {
+            // Columns of output row `oi` that fall inside this tile.
+            let row_q = oi * g.ws;
+            let lo = q0.saturating_sub(row_q);
+            let hi = (q_end - row_q).min(ow).max(lo);
+            for ((out, acc_row), &b) in dst.chunks_exact_mut(oh * ow).zip(&acc).zip(bias) {
+                let src = &acc_row[row_q + lo - q0..];
+                for (o, &v) in out[oi * ow + lo..oi * ow + hi].iter_mut().zip(src) {
+                    *o = v + b;
+                }
+            }
+        }
+    }
+}
+
+/// One `R×Q` register tile: the block's output channels (`rows`) ×
+/// flattened positions `q0..q0+Q`. The inner loops over compile-time
+/// `R`/`Q` unroll into `R·Q` independent multiply-then-add chains the
+/// compiler vectorises along `Q`, broadcasting one weight per row. Kept out
+/// of line so the accumulators stay in registers for the whole tap loop.
+#[inline(never)]
+fn direct_tile<const R: usize, const Q: usize>(
+    buf: &[f32],
+    taps: &[usize],
+    rows: &[&[f32]; R],
+    q0: usize,
+) -> [[f32; Q]; R] {
+    let mut acc = [[0.0_f32; Q]; R];
+    // Rows as long as `taps`, so `w_row[p]` needs no bounds check.
+    let rows: [&[f32]; R] = rows.map(|r| &r[..taps.len()]);
+    for (p, &off) in taps.iter().enumerate() {
+        let xv: &[f32; Q] = buf[off + q0..off + q0 + Q]
+            .try_into()
+            .expect("tile slice has Q elements");
+        for (row, w_row) in acc.iter_mut().zip(&rows) {
+            let w = w_row[p];
+            for (a, &xq) in row.iter_mut().zip(xv) {
+                *a += w * xq;
+            }
+        }
+    }
+    acc
+}
+
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "conv2d expects [n,c,h,w]");
         assert_eq!(shape[1], self.in_c, "conv2d channel mismatch");
@@ -208,13 +444,23 @@ impl Layer for Conv2d {
         let per_out = self.out_c * oh * ow;
         let kk = self.in_c * self.k * self.k;
         let mut out = vec![0.0_f32; n * per_out];
-        // Keep n slots, reusing previous allocations as im2col scratch.
-        self.cached_cols.resize_with(n, Vec::new);
-        self.cached_in_shape = shape.to_vec();
+        let (in_c, kc, stride, pad, out_c) = (self.in_c, self.k, self.stride, self.pad, self.out_c);
+        // Train keeps im2col: `backward` reads the columns.
+        let direct = (mode == Mode::Eval && oh * ow <= DIRECT_MAX_POSITIONS)
+            .then(|| DirectGeom::new(in_c, h, w, kc, stride, pad));
+        if let Some(g) = &direct {
+            if self.taps_hw != Some((h, w)) {
+                direct_taps(in_c, kc, stride, g, &mut self.taps);
+                self.taps_hw = Some((h, w));
+            }
+        }
+        self.cached_in_shape = (mode == Mode::Train).then_some([n, in_c, h, w]);
+        // Keep n slots, reusing previous allocations as scratch.
+        self.scratch.resize_with(n, Vec::new);
         let x = input.as_slice();
         let wt = self.weight.value.as_slice();
         let b = self.bias.value.as_slice();
-        let (in_c, kc, stride, pad, out_c) = (self.in_c, self.k, self.stride, self.pad, self.out_c);
+        let taps = &self.taps;
         let macs = n * out_c * kk * oh * ow;
         let threads = if macs >= PAR_MIN_WORK {
             num_threads()
@@ -223,23 +469,20 @@ impl Layer for Conv2d {
         };
         let mut jobs: Vec<(usize, &mut [f32], &mut Vec<f32>)> = out
             .chunks_mut(per_out)
-            .zip(self.cached_cols.iter_mut())
+            .zip(self.scratch.iter_mut())
             .enumerate()
-            .map(|(i, (dst, cols))| (i, dst, cols))
+            .map(|(i, (dst, buf))| (i, dst, buf))
             .collect();
         for_each_chunk(&mut jobs, 1, threads, |_, job| {
-            let (i, dst, cols) = &mut job[0];
-            im2col_into(
-                &x[*i * per_in..(*i + 1) * per_in],
-                in_c,
-                h,
-                w,
-                kc,
-                stride,
-                pad,
-                cols,
-            );
-            mm_into(wt, cols, dst, out_c, kk, oh * ow);
+            let (i, dst, buf) = &mut job[0];
+            let xi = &x[*i * per_in..(*i + 1) * per_in];
+            if let Some(g) = &direct {
+                pad_phases(xi, in_c, h, w, stride, pad, g, buf);
+                direct_conv(buf, taps, g, wt, b, oh, ow, dst);
+                return;
+            }
+            im2col_into(xi, in_c, h, w, kc, stride, pad, buf);
+            mm_into(wt, buf, dst, out_c, kk, oh * ow);
             for (oc, row) in dst.chunks_mut(oh * ow).enumerate() {
                 let bias = b[oc];
                 for v in row {
@@ -251,11 +494,10 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(
-            !self.cached_cols.is_empty() || self.cached_in_shape.first() == Some(&0),
-            "conv2d backward without forward"
-        );
-        let in_shape = self.cached_in_shape.clone();
+        let in_shape = self
+            .cached_in_shape
+            .take()
+            .expect("conv2d backward without forward in train mode");
         let (n, h, w) = (in_shape[0], in_shape[2], in_shape[3]);
         let (oh, ow) = (self.out_dim(h), self.out_dim(w));
         let kk = self.in_c * self.k * self.k;
@@ -266,7 +508,7 @@ impl Layer for Conv2d {
         let wt = self.weight.value.as_slice().to_vec();
         for i in 0..n {
             let gi = &g[i * self.out_c * oh * ow..(i + 1) * self.out_c * oh * ow];
-            let cols = &self.cached_cols[i];
+            let cols = &self.scratch[i];
             // dW += dY * cols^T  (out_c x kk)
             let dw = mm_a_bt(gi, cols, self.out_c, oh * ow, kk);
             self.weight.grad.add_scaled(&Tensor::from_vec(dw), 1.0);
@@ -294,7 +536,6 @@ impl Layer for Conv2d {
                 &mut grad_in[i * per_in..(i + 1) * per_in],
             );
         }
-        self.cached_cols.clear();
         Tensor::new(&in_shape, grad_in).expect("conv grad shape consistent")
     }
 
@@ -402,9 +643,9 @@ mod tests {
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
             let sp: f32 = conv.forward(&xp, Mode::Train).as_slice().iter().sum();
-            conv.cached_cols.clear();
+            conv.cached_in_shape = None;
             let sm: f32 = conv.forward(&xm, Mode::Train).as_slice().iter().sum();
-            conv.cached_cols.clear();
+            conv.cached_in_shape = None;
             let num = (sp - sm) / (2.0 * eps);
             let ana = gx.as_slice()[idx];
             assert!(
@@ -448,7 +689,7 @@ mod tests {
             set(&wm, &mut conv);
             let sm: f32 = conv.forward(&x, Mode::Train).as_slice().iter().sum();
             set(&wv, &mut conv);
-            conv.cached_cols.clear();
+            conv.cached_in_shape = None;
             let num = (sp - sm) / (2.0 * eps);
             assert!(
                 (num - wg.as_slice()[idx]).abs() < 1e-2,

@@ -68,7 +68,7 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 2, "linear expects [n, features]");
         assert_eq!(shape[1], self.in_f, "linear feature mismatch");
@@ -86,7 +86,8 @@ impl Layer for Linear {
                 out[i * self.out_f + j] += b[j];
             }
         }
-        self.cached_input = Some(input.clone());
+        // Only a train-mode forward may be followed by `backward`.
+        self.cached_input = (mode == Mode::Train).then(|| input.clone());
         Tensor::new(&[n, self.out_f], out).expect("linear output shape consistent")
     }
 
@@ -94,7 +95,7 @@ impl Layer for Linear {
         let input = self
             .cached_input
             .take()
-            .expect("linear backward without forward");
+            .expect("linear backward without forward in train mode");
         let n = input.shape()[0];
         let g = grad_output.as_slice();
         assert_eq!(g.len(), n * self.out_f, "linear grad shape");

@@ -61,8 +61,12 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input, mode);
+        for layer in layers {
             x = layer.forward(&x, mode);
         }
         x

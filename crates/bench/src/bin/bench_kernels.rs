@@ -4,7 +4,9 @@
 //! and writes `results/bench_kernels.json` (hand-rolled JSON, no serde).
 //! Conv rows also record `im2col_ms`, the same forward through im2col + the
 //! blocked GEMM, so each row shows both sides of the direct kernel's
-//! crossover.
+//! crossover. Two decode rows record `us_per_call` for one 3×16×16
+//! `input.data` request line: the wire request parser and a JSON tree
+//! parse of the same line.
 //!
 //! Environment:
 //! * `EINET_BENCH_BUDGET_MS` — per-case measurement budget (default 300).
@@ -15,7 +17,9 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use einet_server::wire;
 use einet_tensor::{mm, num_threads, set_num_threads, Conv2d, Layer, Mode, Tensor};
+use einet_trace::json;
 
 /// The seed's GEMM: i-k-j loop order with the data-dependent zero skip —
 /// the baseline every speedup in the report is measured against.
@@ -253,6 +257,33 @@ fn main() {
         });
     }
 
+    // Request decoding: one 3×16×16 `input.data` line rendered the way the
+    // serving benchmark renders it (f32 `to_string`), through the one-pass
+    // request parser and through a plain JSON tree parse.
+    let pixels: Vec<String> = random_data(3 * 16 * 16, 11)
+        .iter()
+        .map(f32::to_string)
+        .collect();
+    let line = format!(
+        "{{\"id\":1,\"model\":\"b-alexnet\",\"label\":3,\"input\":{{\"shape\":[1,3,16,16],\"data\":[{}]}}}}",
+        pixels.join(",")
+    );
+    eprintln!("timing request decoding ({} B line) ...", line.len());
+    let decode = [
+        (
+            "wire_parse_3x16x16",
+            time_median(|| {
+                std::hint::black_box(wire::parse_request(std::hint::black_box(&line)).is_ok());
+            }) * 1e3,
+        ),
+        (
+            "json_tree_3x16x16",
+            time_median(|| {
+                std::hint::black_box(json::parse(std::hint::black_box(&line)).is_ok());
+            }) * 1e3,
+        ),
+    ];
+
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"kernels\",\n");
     json.push_str(&format!("  \"threads\": {},\n", num_threads()));
@@ -260,19 +291,25 @@ fn main() {
         "  \"budget_ms\": {},\n  \"cases\": [\n",
         budget().as_millis()
     ));
-    for (i, c) in cases.iter().enumerate() {
+    for c in &cases {
         let im2col = c
             .im2col_ms
             .map_or(String::new(), |t| format!(", \"im2col_ms\": {t:.6}"));
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shape\": \"{}\", \"naive_ms\": {:.6}, \"optimized_ms\": {:.6}{}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"name\": \"{}\", \"shape\": \"{}\", \"naive_ms\": {:.6}, \"optimized_ms\": {:.6}{}, \"speedup\": {:.3}}},\n",
             json_escape(&c.name),
             json_escape(&c.shape),
             c.naive_ms,
             c.optimized_ms,
             im2col,
             c.speedup(),
-            if i + 1 == cases.len() { "" } else { "," }
+        ));
+    }
+    for (i, (name, us)) in decode.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"name\": \"{name}\", \"shape\": \"line_{}B\", \"us_per_call\": {us:.3}}}{}\n",
+            line.len(),
+            if i + 1 == decode.len() { "" } else { "," }
         ));
     }
     json.push_str("  ]\n}\n");
@@ -294,6 +331,9 @@ fn main() {
             c.speedup(),
             im2col
         );
+    }
+    for (name, us) in &decode {
+        println!("{name:<30} {us:>12.3} us/call");
     }
     println!(
         "\nwrote results/bench_kernels.json ({} threads)",

@@ -80,6 +80,16 @@ impl InferenceRequest {
         self
     }
 
+    /// The input sample.
+    pub fn input(&self) -> &Tensor {
+        &self.input
+    }
+
+    /// The true label, if attached.
+    pub fn label(&self) -> Option<usize> {
+        self.label
+    }
+
     /// The deadline, if any.
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline

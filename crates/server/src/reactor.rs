@@ -415,59 +415,70 @@ impl Reactor {
                 match conn.stream.read(&mut chunk) {
                     Ok(0) => {
                         conn.peer_closed = true;
-                        break;
+                        return false;
                     }
                     Ok(n) => {
                         conn.last_activity = Instant::now();
                         conn.read_buf.extend_from_slice(&chunk[..n]);
                         n
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => return true,
                 }
             };
-            debug_assert!(n > 0);
-            if self.serve_buffered_lines(slot, tx) {
+            if self.serve_buffered_lines(slot, n, tx) {
                 return true;
             }
         }
-        self.serve_buffered_lines(slot, tx)
     }
 
-    /// Frames `read_buf` on newlines and serves each complete line.
-    /// Returns `true` when the connection must close (unframeable input).
-    fn serve_buffered_lines(&mut self, slot: u32, tx: &Sender<Completion>) -> bool {
-        loop {
-            let line = {
-                let conn = self.conns[slot as usize].as_mut().expect("live conn");
-                let Some(nl) = conn.read_buf.iter().position(|&b| b == b'\n') else {
-                    if conn.read_buf.len() > self.cfg.max_line_bytes {
-                        // No newline within the cap: the stream cannot be
-                        // re-framed. Answer 400 and hang up.
-                        let line = wire::render_bad_request(0, "request line too long", 0);
-                        queue_response(conn, &line);
-                        let _ = flush_write(conn);
-                        return true;
-                    }
-                    return false;
-                };
-                let mut line: Vec<u8> = conn.read_buf.drain(..=nl).collect();
-                line.pop(); // the newline
-                line
-            };
-            let Ok(text) = std::str::from_utf8(&line) else {
-                let conn = self.conns[slot as usize].as_mut().expect("live conn");
-                queue_response(
-                    conn,
-                    &wire::render_bad_request(0, "request is not UTF-8", 0),
-                );
-                continue;
-            };
-            let text = text.trim();
-            if text.is_empty() {
-                continue;
-            }
+    /// Serves every line completed by the `fresh` bytes just appended to
+    /// `read_buf`, each borrowed in place, then drops the served prefix in
+    /// one move. Only the fresh bytes are searched for `\n`: the older
+    /// tail is a partial line. Returns `true` when the connection must
+    /// close (a partial line over the cap cannot be re-framed).
+    fn serve_buffered_lines(&mut self, slot: u32, fresh: usize, tx: &Sender<Completion>) -> bool {
+        // Moved out of the connection so the lines can borrow it while
+        // serving them borrows the reactor.
+        let mut buf = {
+            let conn = self.conns[slot as usize].as_mut().expect("live conn");
+            std::mem::take(&mut conn.read_buf)
+        };
+        let mut line_start = 0;
+        let mut scan = buf.len() - fresh;
+        while let Some(nl) = buf[scan..].iter().position(|&b| b == b'\n') {
+            let line_end = scan + nl;
+            self.serve_raw_line(slot, &buf[line_start..line_end], tx);
+            line_start = line_end + 1;
+            scan = line_start;
+        }
+        buf.drain(..line_start);
+        let conn = self.conns[slot as usize].as_mut().expect("live conn");
+        conn.read_buf = buf;
+        if conn.read_buf.len() > self.cfg.max_line_bytes {
+            // No newline within the cap: the stream cannot be re-framed.
+            // Answer 400 and hang up.
+            let line = wire::render_bad_request(0, "request line too long", 0);
+            queue_response(conn, &line);
+            let _ = flush_write(conn);
+            return true;
+        }
+        false
+    }
+
+    /// Serves one framed line (newline stripped).
+    fn serve_raw_line(&mut self, slot: u32, line: &[u8], tx: &Sender<Completion>) {
+        let Ok(text) = std::str::from_utf8(line) else {
+            let conn = self.conns[slot as usize].as_mut().expect("live conn");
+            queue_response(
+                conn,
+                &wire::render_bad_request(0, "request is not UTF-8", 0),
+            );
+            return;
+        };
+        let text = text.trim();
+        if !text.is_empty() {
             self.serve_line(slot, text, tx);
         }
     }

@@ -54,7 +54,7 @@ use std::time::Duration;
 
 use einet_edge::{InferenceRequest, TaskOutcome, TaskStatus};
 use einet_tensor::Tensor;
-use einet_trace::json::{self, JsonValue, JsonWriter};
+use einet_trace::json::{self, JsonParseError, JsonReader, JsonValue, JsonWriter};
 use einet_trace::TraceContext;
 
 use crate::registry::RouteError;
@@ -75,81 +75,222 @@ pub struct WireRequest {
 
 /// Parses one request line.
 ///
+/// One pass over the text, no [`JsonValue`] tree: each member is decoded
+/// in place as it comes (`input.data` straight into the tensor's buffer)
+/// and unknown members are skipped without being built. The line must
+/// still be a complete JSON document, and it is checked as one before any
+/// field is, so the first problem reported is the one a tree parse would
+/// find. Repeated keys keep their last occurrence.
+///
 /// # Errors
 ///
 /// A human-readable message describing the first problem found; the
 /// server maps it to a 400 response.
 pub fn parse_request(line: &str) -> Result<WireRequest, String> {
-    let value = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    let id = value.get("id").and_then(JsonValue::as_u64).unwrap_or(0);
-    let trace = value.get("trace").and_then(TraceContext::from_json);
-    let model = value
-        .get("model")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing \"model\" (string)")?
-        .to_string();
-    let input = value.get("input").ok_or("missing \"input\" (object)")?;
-    let shape_val = input
-        .get("shape")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing \"input.shape\" (array)")?;
-    let mut shape = Vec::with_capacity(shape_val.len());
-    for d in shape_val {
-        let d = d
-            .as_u64()
-            .ok_or("\"input.shape\" entries must be non-negative integers")?;
-        shape.push(d as usize);
-    }
-    if shape.len() != 4 || shape[0] != 1 || shape.contains(&0) {
-        return Err(format!(
-            "\"input.shape\" must be [1, c, h, w] with positive dims, got {shape:?}"
-        ));
-    }
-    let elems: usize = shape.iter().product();
-    let tensor = match (input.get("fill"), input.get("data")) {
-        (Some(fill), None) => {
-            let x = fill.as_f64().ok_or("\"input.fill\" must be a number")? as f32;
-            Tensor::filled(&shape, x)
-        }
-        (None, Some(data)) => {
-            let items = data
-                .as_array()
-                .ok_or("\"input.data\" must be an array of numbers")?;
-            if items.len() != elems {
-                return Err(format!(
-                    "\"input.data\" has {} elements, shape {:?} needs {}",
-                    items.len(),
-                    shape,
-                    elems
-                ));
-            }
-            let mut buf = Vec::with_capacity(elems);
-            for v in items {
-                buf.push(v.as_f64().ok_or("\"input.data\" entries must be numbers")? as f32);
-            }
-            Tensor::new(&shape, buf).map_err(|e| e.to_string())?
-        }
-        (Some(_), Some(_)) => {
-            return Err("give \"input.fill\" or \"input.data\", not both".to_string())
-        }
-        (None, None) => return Err("missing \"input.fill\" or \"input.data\"".to_string()),
+    let mut fields = Fields::default();
+    let mut r = JsonReader::new(line);
+    let read = if r.peek() == Some(b'{') {
+        r.object(|r, key| fields.member(r, &key))
+    } else {
+        // Valid JSON that is not an object has no fields.
+        r.skip_value()
     };
-    let mut request = InferenceRequest::new(tensor);
-    if let Some(label) = value.get("label").and_then(JsonValue::as_u64) {
-        request = request.with_label(label as usize);
-    }
-    if let Some(ms) = value.get("deadline_ms").and_then(JsonValue::as_f64) {
-        if ms < 0.0 {
-            return Err("\"deadline_ms\" must be non-negative".to_string());
+    read.and_then(|()| r.end())
+        .map_err(|e| format!("invalid JSON: {e}"))?;
+    fields.into_request()
+}
+
+/// A request line's members as read, before validation.
+#[derive(Default)]
+struct Fields {
+    id: u64,
+    trace: Option<TraceContext>,
+    /// `None` when absent or not a string.
+    model: Option<String>,
+    input: Option<InputFields>,
+    label: Option<u64>,
+    deadline_ms: Option<f64>,
+}
+
+/// The members of `input`; all absent when `input` is not an object.
+#[derive(Default)]
+struct InputFields {
+    /// `None` when absent or not an array; an entry is `None` when it is
+    /// not a non-negative integer.
+    shape: Option<Vec<Option<u64>>>,
+    /// Present, and a number or not.
+    fill: Option<Option<f64>>,
+    data: Option<Data>,
+}
+
+enum Data {
+    NotArray,
+    /// The elements as `f32`; a non-number element clears `all_numbers`
+    /// and holds a placeholder, so the length is still the element count.
+    Values {
+        values: Vec<f32>,
+        all_numbers: bool,
+    },
+}
+
+impl Fields {
+    fn member(&mut self, r: &mut JsonReader<'_>, key: &str) -> Result<(), JsonParseError> {
+        match key {
+            "id" => self.id = number(r)?.and_then(as_u64).unwrap_or(0),
+            "trace" => self.trace = TraceContext::from_json(&r.value()?),
+            "model" => {
+                self.model = if r.peek() == Some(b'"') {
+                    Some(r.string()?.into_owned())
+                } else {
+                    r.skip_value()?;
+                    None
+                };
+            }
+            "input" => {
+                let mut input = InputFields::default();
+                if r.peek() == Some(b'{') {
+                    r.object(|r, key| input.member(r, &key))?;
+                } else {
+                    r.skip_value()?;
+                }
+                self.input = Some(input);
+            }
+            "label" => self.label = number(r)?.and_then(as_u64),
+            "deadline_ms" => self.deadline_ms = number(r)?,
+            _ => r.skip_value()?,
         }
-        request = request.with_deadline(Duration::from_micros((ms * 1000.0) as u64));
+        Ok(())
     }
-    Ok(WireRequest {
-        id,
-        model,
-        trace,
-        request,
-    })
+
+    /// Validates the members in the order the wire contract lists them.
+    fn into_request(self) -> Result<WireRequest, String> {
+        let model = self.model.ok_or("missing \"model\" (string)")?;
+        let input = self.input.ok_or("missing \"input\" (object)")?;
+        let shape: Vec<usize> = input
+            .shape
+            .ok_or("missing \"input.shape\" (array)")?
+            .into_iter()
+            .map(|d| d.map(|d| d as usize))
+            .collect::<Option<_>>()
+            .ok_or("\"input.shape\" entries must be non-negative integers")?;
+        if shape.len() != 4 || shape[0] != 1 || shape.contains(&0) {
+            return Err(format!(
+                "\"input.shape\" must be [1, c, h, w] with positive dims, got {shape:?}"
+            ));
+        }
+        let elems: usize = shape.iter().product();
+        let tensor = match (input.fill, input.data) {
+            (Some(fill), None) => {
+                let x = fill.ok_or("\"input.fill\" must be a number")? as f32;
+                Tensor::filled(&shape, x)
+            }
+            (None, Some(Data::NotArray)) => {
+                return Err("\"input.data\" must be an array of numbers".to_string())
+            }
+            (
+                None,
+                Some(Data::Values {
+                    values,
+                    all_numbers,
+                }),
+            ) => {
+                if values.len() != elems {
+                    return Err(format!(
+                        "\"input.data\" has {} elements, shape {:?} needs {}",
+                        values.len(),
+                        shape,
+                        elems
+                    ));
+                }
+                if !all_numbers {
+                    return Err("\"input.data\" entries must be numbers".to_string());
+                }
+                Tensor::new(&shape, values).map_err(|e| e.to_string())?
+            }
+            (Some(_), Some(_)) => {
+                return Err("give \"input.fill\" or \"input.data\", not both".to_string())
+            }
+            (None, None) => return Err("missing \"input.fill\" or \"input.data\"".to_string()),
+        };
+        let mut request = InferenceRequest::new(tensor);
+        if let Some(label) = self.label {
+            request = request.with_label(label as usize);
+        }
+        if let Some(ms) = self.deadline_ms {
+            if ms < 0.0 {
+                return Err("\"deadline_ms\" must be non-negative".to_string());
+            }
+            request = request.with_deadline(Duration::from_micros((ms * 1000.0) as u64));
+        }
+        Ok(WireRequest {
+            id: self.id,
+            model,
+            trace: self.trace,
+            request,
+        })
+    }
+}
+
+impl InputFields {
+    fn member(&mut self, r: &mut JsonReader<'_>, key: &str) -> Result<(), JsonParseError> {
+        match key {
+            "shape" => {
+                self.shape = if r.peek() == Some(b'[') {
+                    let mut dims = Vec::with_capacity(4);
+                    r.number_array(|d| dims.push(d.and_then(as_u64)))?;
+                    Some(dims)
+                } else {
+                    r.skip_value()?;
+                    None
+                };
+            }
+            "fill" => self.fill = Some(number(r)?),
+            "data" => {
+                self.data = Some(if r.peek() == Some(b'[') {
+                    let mut values = Vec::with_capacity(self.data_capacity(r.remaining()));
+                    let mut all_numbers = true;
+                    r.number_array(|x| {
+                        all_numbers &= x.is_some();
+                        values.push(x.unwrap_or(0.0) as f32);
+                    })?;
+                    Data::Values {
+                        values,
+                        all_numbers,
+                    }
+                } else {
+                    r.skip_value()?;
+                    Data::NotArray
+                });
+            }
+            _ => r.skip_value()?,
+        }
+        Ok(())
+    }
+
+    /// The element count a `shape` read earlier asks for, capped by what
+    /// the rest of the line can hold (at least two bytes per element).
+    fn data_capacity(&self, remaining: usize) -> usize {
+        let elems = self.shape.as_ref().and_then(|dims| {
+            dims.iter()
+                .try_fold(1_usize, |n, &d| n.checked_mul(d? as usize))
+        });
+        elems.unwrap_or(0).min(remaining / 2 + 1)
+    }
+}
+
+/// Reads the next value: `Some` if it is a number, `None` (and skipped)
+/// otherwise.
+fn number(r: &mut JsonReader<'_>) -> Result<Option<f64>, JsonParseError> {
+    if matches!(r.peek(), Some(b'-' | b'0'..=b'9')) {
+        r.number().map(Some)
+    } else {
+        r.skip_value().map(|()| None)
+    }
+}
+
+/// [`JsonValue::as_u64`] of a decoded number.
+fn as_u64(x: f64) -> Option<u64> {
+    JsonValue::Number(x).as_u64()
 }
 
 /// Best-effort extraction of `id` and trace id from an unparseable

@@ -12,6 +12,7 @@
 # reconciliation (trace_check --distributed) all hold.
 #
 #   scripts/check.sh                # fmt --check + clippy -D warnings + tests
+#                                   # (workspace and perfbench)
 #   scripts/check.sh --bench        # also run the bench runner (release build)
 #   scripts/check.sh --trace-smoke  # also run traced demos + trace_check
 #   scripts/check.sh --serve-smoke  # also run the gated serving benchmark
@@ -41,6 +42,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test"
 cargo test --workspace --quiet
+
+# perfbench is its own package (outside the workspace) and calls the
+# crates' public API, so build it and run its tests here: a change to that
+# API would otherwise break the serving benchmark unnoticed.
+echo "== perfbench build + tests"
+cargo test --offline --release --quiet --manifest-path perfbench/Cargo.toml
 
 if [ "$run_bench" -eq 1 ]; then
     echo "== bench runner (results/bench_kernels.json)"
